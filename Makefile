@@ -69,7 +69,7 @@ bench-smoke:
 # order-of-magnitude cliffs, not percent-level drift. For the tight
 # version run `make bench` on both commits and
 # `benchjson -compare -threshold 1.2 old.json new.json`.
-BENCH_BASE ?= BENCH_PR8.json
+BENCH_BASE ?= BENCH_PR9.json
 bench-compare:
 	$(GO) test -run '^$$' -bench=. -benchtime 100x -benchmem ./... | $(GO) run ./cmd/benchjson -o /tmp/bench-head.json
 	$(GO) run ./cmd/benchjson -compare -threshold 10 $(BENCH_BASE) /tmp/bench-head.json

@@ -1,38 +1,28 @@
-// The binary frame protocol (ROADMAP item 3): length-prefixed frames
-// replace newline-delimited JSON on the hot wire paths, with per-frame
-// self-description so both codecs coexist on one connection.
+// The srpc wire protocol: length-prefixed binary frames, the only
+// encoding a connection carries, from its first byte to its last.
 //
-// Negotiation. A binary-capable endpoint writes a 5-byte preamble —
-// 0xBF 's' 'b' '1' '\n' — immediately after the TCP connect (server at
-// accept, client at Dial). To a legacy JSON-only peer the preamble is one
-// garbage line, which the JSON loops have always dropped; to a
-// binary-capable peer it is the capability announcement. An endpoint
-// sends binary frames only after it has seen the peer's preamble, so a
-// binary client interoperates with a JSON-only server (and vice versa) by
-// construction: nothing binary is ever sent at a peer that has not proved
-// it can read it. Because TCP preserves order, the server always sees the
-// client preamble before request #1; the client's first request may still
-// race out as JSON before the server preamble arrives, which is legal —
-// frames are self-describing, and a response always mirrors the codec of
-// its request.
-//
-// Framing. Every binary frame is
+// Framing. Every frame is
 //
 //	tag (1B: 0xB1 request, 0xB2 response) | uvarint body length | body
 //
-// Request body:  uvarint id | 1B method-prefix index (0 = none) |
-//	uvarint suffix len + suffix | uvarint auth len + auth |
-//	1B payload shape | payload (rest of body)
-// Response body: uvarint id | 1B status (0 ok, 1 error) |
-//	error: message (rest) — ok: 1B payload shape | payload (rest)
+//	request body:  uvarint id | 1B method-prefix index (0 = none) |
+//	               uvarint suffix len + suffix | uvarint auth len + auth |
+//	               1B payload shape | payload (rest of body)
+//	response body: uvarint id | 1B status (0 ok, 1 error) |
+//	               error: message (rest) — ok: 1B payload shape | payload (rest)
 //
-// The first byte of every frame (0xB1/0xB2/0xBF) is outside the ASCII
-// range JSON frames start with ('{' = 0x7B), so the read loops dispatch
-// per frame on one peeked byte. Payload shape 0 is the reflection-free
-// generic fallback: the payload bytes are the same JSON the legacy codec
-// would have sent, wrapped in a binary frame. Non-zero shapes are the
-// hand-written fast paths (hot-shape encoders in internal/remote and
-// internal/wire) that never touch encoding/json.
+// The stream kinds (0xB3–0xB6, stream.go) share the layout. Each side
+// reads one tag byte per frame and accepts only the kinds its peer may
+// send; any other first byte is a protocol violation that drops the
+// connection, exactly like a length prefix past MaxFrame. There is no
+// negotiation and no second encoding, so every read is bounded.
+//
+// Payloads. appendPayload and decodePayload are the one place a payload
+// is encoded and decoded. Non-zero shapes are the hand-written fast
+// paths (hot-shape encoders in internal/remote, internal/wire and
+// internal/subscribe) that never touch encoding/json; shape 0
+// (ShapeJSON) is the reflection-based generic fallback, whose payload
+// bytes are the value's JSON.
 //
 // Memory. Frames are encoded into and decoded from pooled []byte buffers
 // (oversize ones are discarded rather than pinned by the pool), and the
@@ -46,6 +36,7 @@ package srpc
 
 import (
 	"bufio"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -54,49 +45,11 @@ import (
 	"sensorcer/internal/wire"
 )
 
-// Codec selects the wire encoding of a Server or Client.
-type Codec int
-
+// frameRequest and frameResponse tag the call frames.
 const (
-	// CodecBinary announces binary capability and uses binary frames with
-	// any peer that announces it back, JSON otherwise (the default).
-	CodecBinary Codec = iota
-	// CodecJSON speaks only newline-delimited JSON — bit-compatible with
-	// the pre-binary protocol, kept for ablation (-codec=json) and legacy
-	// peers.
-	CodecJSON
-)
-
-// String names the codec for flags and logs.
-func (c Codec) String() string {
-	if c == CodecJSON {
-		return "json"
-	}
-	return "binary"
-}
-
-// ParseCodec parses a -codec flag value.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "binary", "":
-		return CodecBinary, nil
-	case "json":
-		return CodecJSON, nil
-	}
-	return 0, fmt.Errorf("srpc: unknown codec %q (want binary or json)", s)
-}
-
-const (
-	// preambleByte opens the capability announcement line.
-	preambleByte byte = 0xBF
-	// frameRequest and frameResponse tag binary frames.
 	frameRequest  byte = 0xB1
 	frameResponse byte = 0xB2
 )
-
-// preamble is the capability announcement: a garbage line to a JSON-only
-// peer, a binary-capability proof to anyone else.
-var preamble = [5]byte{preambleByte, 's', 'b', '1', '\n'}
 
 // MaxFrame bounds a binary frame body (64 MiB) — snapshots ship well
 // under it, and a hostile length prefix past it drops the connection
@@ -104,12 +57,12 @@ var preamble = [5]byte{preambleByte, 's', 'b', '1', '\n'}
 const MaxFrame = 64 << 20
 
 // ShapeJSON is the payload shape of the generic fallback: the payload is
-// the JSON the legacy codec would have sent.
+// the value's JSON.
 const ShapeJSON byte = 0
 
 // BinaryMarshaler is the fast-path encode side of a hot message shape.
 // Implemented on value types passed as srpc params or returned as srpc
-// results; everything else falls back to JSON-in-a-binary-frame.
+// results; everything else falls back to a ShapeJSON payload.
 type BinaryMarshaler interface {
 	// SrpcShape tags the payload (never ShapeJSON).
 	SrpcShape() byte
@@ -173,6 +126,21 @@ func finishFrame(buf []byte, tag byte) []byte {
 	buf[start] = tag
 	copy(buf[start+1:frameHeadroom], tmp[:n])
 	return buf[start:]
+}
+
+// readFrame reads one whole frame: the tag byte, which must name a kind
+// accepts admits, then the length-prefixed body into *buf. Any other
+// first byte is an error before anything past it is read, so the caller
+// drops the connection exactly as for an oversize or truncated body.
+func readFrame(r *bufio.Reader, buf *[]byte, accepts func(tag byte) bool) (byte, error) {
+	tag, err := r.ReadByte()
+	if err != nil {
+		return 0, err
+	}
+	if !accepts(tag) {
+		return 0, fmt.Errorf("srpc: unknown frame tag %#x", tag)
+	}
+	return tag, readFrameBody(r, buf)
 }
 
 // readFrameBody reads one uvarint-prefixed frame body into *buf after the
@@ -294,6 +262,44 @@ type binPayload struct {
 	data  []byte
 }
 
+// appendPayload appends v as a shape tag plus payload: a BinaryMarshaler
+// in its own shape, anything else as ShapeJSON with v's JSON (nothing for
+// a nil v).
+func appendPayload(buf []byte, v any) ([]byte, error) {
+	if bm, ok := v.(BinaryMarshaler); ok {
+		return bm.AppendSrpc(append(buf, bm.SrpcShape()))
+	}
+	buf = append(buf, ShapeJSON)
+	if v == nil {
+		return buf, nil
+	}
+	js, err := json.Marshal(v)
+	if err != nil {
+		return buf, err
+	}
+	return append(buf, js...), nil
+}
+
+// decodePayload materializes p into out: a fast-path shape through out's
+// BinaryUnmarshaler, ShapeJSON through encoding/json (an empty payload
+// leaves out untouched). A nil out discards the payload.
+func decodePayload(p binPayload, out any) error {
+	if out == nil {
+		return nil
+	}
+	if p.shape != ShapeJSON {
+		u, ok := out.(BinaryUnmarshaler)
+		if !ok {
+			return fmt.Errorf("payload shape %#x but %T has no binary decoder", p.shape, out)
+		}
+		return u.UnmarshalSrpc(p.shape, p.data)
+	}
+	if len(p.data) == 0 {
+		return nil
+	}
+	return json.Unmarshal(p.data, out)
+}
+
 // binRequest is a decoded request frame. method aliases the scratch
 // buffer passed to decodeRequest; auth and payload alias the frame body.
 type binRequest struct {
@@ -304,21 +310,14 @@ type binRequest struct {
 }
 
 // appendRequest encodes a request body after beginFrame; finishFrame with
-// frameRequest completes it. payload follows the fast path when params
-// implements BinaryMarshaler, otherwise jsonParams (pre-marshalled by the
-// caller) rides as ShapeJSON.
-func appendRequest(buf []byte, id uint64, method, auth string, params BinaryMarshaler, jsonParams []byte) ([]byte, error) {
+// frameRequest completes it.
+func appendRequest(buf []byte, id uint64, method, auth string, params any) ([]byte, error) {
 	buf = wire.AppendUvarint(buf, id)
 	idx, suffix := splitMethod(method)
 	buf = append(buf, idx)
 	buf = wire.AppendString(buf, suffix)
 	buf = wire.AppendString(buf, auth)
-	if params != nil {
-		buf = append(buf, params.SrpcShape())
-		return params.AppendSrpc(buf)
-	}
-	buf = append(buf, ShapeJSON)
-	return append(buf, jsonParams...), nil
+	return appendPayload(buf, params)
 }
 
 // decodeRequest parses a request body. scratch backs the reassembled
@@ -361,21 +360,14 @@ type binResponse struct {
 }
 
 // appendResponse encodes a response body after beginFrame. On errMsg !=
-// "" the payload is ignored; otherwise result follows the fast path when
-// it implements BinaryMarshaler, else jsonResult rides as ShapeJSON.
-func appendResponse(buf []byte, id uint64, errMsg string, result BinaryMarshaler, jsonResult []byte) ([]byte, error) {
+// "" the result is ignored.
+func appendResponse(buf []byte, id uint64, errMsg string, result any) ([]byte, error) {
 	buf = wire.AppendUvarint(buf, id)
 	if errMsg != "" {
 		buf = append(buf, 1)
 		return append(buf, errMsg...), nil
 	}
-	buf = append(buf, 0)
-	if result != nil {
-		buf = append(buf, result.SrpcShape())
-		return result.AppendSrpc(buf)
-	}
-	buf = append(buf, ShapeJSON)
-	return append(buf, jsonResult...), nil
+	return appendPayload(append(buf, 0), result)
 }
 
 // decodeResponse parses a response body.

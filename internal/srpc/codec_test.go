@@ -3,6 +3,8 @@ package srpc
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -48,27 +50,6 @@ func (p *pointShape) UnmarshalSrpc(shape byte, data []byte) error {
 	return nil
 }
 
-func TestParseCodec(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Codec
-		err  bool
-	}{
-		{"binary", CodecBinary, false},
-		{"", CodecBinary, false},
-		{"json", CodecJSON, false},
-		{"protobuf", 0, true},
-	} {
-		got, err := ParseCodec(tc.in)
-		if (err != nil) != tc.err || got != tc.want {
-			t.Errorf("ParseCodec(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	if CodecBinary.String() != "binary" || CodecJSON.String() != "json" {
-		t.Fatal("Codec.String mismatch")
-	}
-}
-
 func TestSplitMethodLongestPrefix(t *testing.T) {
 	for _, tc := range []struct {
 		method string
@@ -103,7 +84,7 @@ func TestSplitMethodLongestPrefix(t *testing.T) {
 // wire-read path (readFrameBody → decodeRequest).
 func TestRequestFrameRoundTrip(t *testing.T) {
 	b := beginFrame(nil)
-	b, err := appendRequest(b, 42, "repl.ship.s0", "secret", pointShape{X: -7, Y: 1 << 60}, nil)
+	b, err := appendRequest(b, 42, "repl.ship.s0", "secret", pointShape{X: -7, Y: 1 << 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +118,7 @@ func TestRequestFrameRoundTrip(t *testing.T) {
 func TestResponseFrameRoundTrip(t *testing.T) {
 	// Success payload.
 	b := beginFrame(nil)
-	b, err := appendResponse(b, 9, "", pointShape{X: 3, Y: 4}, nil)
+	b, err := appendResponse(b, 9, "", pointShape{X: 3, Y: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +129,7 @@ func TestResponseFrameRoundTrip(t *testing.T) {
 	}
 	// Error response.
 	b = beginFrame(nil)
-	b, err = appendResponse(b, 10, "boom", nil, nil)
+	b, err = appendResponse(b, 10, "boom", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +145,7 @@ func TestResponseFrameRoundTrip(t *testing.T) {
 // frame-length byte count makes most prefixes invalid bodies).
 func TestDecodeRequestTruncations(t *testing.T) {
 	b := beginFrame(nil)
-	b, err := appendRequest(b, 7, "registrar.lookup", "tok", nil, []byte(`{"n":1}`))
+	b, err := appendRequest(b, 7, "registrar.lookup", "tok", json.RawMessage(`{"n":1}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,23 +189,9 @@ func TestReadFrameBodyBoundedByReceived(t *testing.T) {
 	}
 }
 
-// waitPeerBinary blocks until the client has processed the server's
-// preamble (bounded); after the first response arrives it always has,
-// since the preamble precedes all responses in stream order.
-func waitPeerBinary(t *testing.T, c *Client) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for !c.peerBinary.Load() {
-		if time.Now().After(deadline) {
-			t.Fatal("client never saw the server preamble")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestBinaryNegotiationAndFastPath is the end-to-end binary round trip:
-// both sides binary, second call guaranteed framed, fast-path encoders
-// engaged on both request and response payloads.
+// TestBinaryNegotiationAndFastPath is the end-to-end fast-path round
+// trip: the first call on a new connection engages the hot-shape
+// encoders on both request and response payloads.
 func TestBinaryNegotiationAndFastPath(t *testing.T) {
 	s := NewServer()
 	HandleFunc(s, "swap", func(p pointShape) (any, error) {
@@ -240,19 +207,10 @@ func TestBinaryNegotiationAndFastPath(t *testing.T) {
 	}
 	defer c.Close()
 
-	var out pointShape
-	if err := c.Call("swap", pointShape{X: 1, Y: 2}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.X != 2 || out.Y != 1 {
-		t.Fatalf("out = %+v", out)
-	}
-	waitPeerBinary(t, c)
-
-	// From here every frame is binary. The fast-path counter must move by
-	// exactly two per call: request decode at the server, response decode
-	// at the client.
+	// The fast-path counter must move by exactly two per call: request
+	// decode at the server, response decode at the client.
 	before := pointFastDecodes.Load()
+	var out pointShape
 	big := int64(1)<<60 + 3
 	if err := c.Call("swap", pointShape{X: big, Y: -big}, &out); err != nil {
 		t.Fatal(err)
@@ -265,16 +223,11 @@ func TestBinaryNegotiationAndFastPath(t *testing.T) {
 	}
 }
 
-// TestBinaryJSONFallbackShapes: types without hot-shape encoders ride as
-// JSON payloads inside binary frames on the same negotiated connection.
+// TestBinaryJSONFallbackInsideFrames: types without hot-shape encoders
+// ride as JSON payloads inside binary frames.
 func TestBinaryJSONFallbackInsideFrames(t *testing.T) {
 	s := newServer(t)
 	c := dial(t, s)
-	var warm float64
-	if err := c.Call("add", addParams{A: 1, B: 1}, &warm); err != nil {
-		t.Fatal(err)
-	}
-	waitPeerBinary(t, c)
 	var out float64
 	if err := c.Call("add", addParams{A: 20, B: 22}, &out); err != nil || out != 42 {
 		t.Fatalf("fallback call = %v, %v", out, err)
@@ -288,84 +241,94 @@ func TestBinaryJSONFallbackInsideFrames(t *testing.T) {
 	}
 }
 
-// TestJSONClientAgainstBinaryServer: a legacy-codec client never sends
-// the preamble, so the binary-capable server keeps the whole conversation
-// in JSON (its own preamble is dropped as a garbage line).
-func TestJSONClientAgainstBinaryServer(t *testing.T) {
-	s := newServer(t)
-	c, err := DialCodec(s.Addr(), CodecJSON, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	for i := 0; i < 3; i++ {
-		var out float64
-		if err := c.Call("add", addParams{A: float64(i), B: 1}, &out); err != nil || out != float64(i+1) {
-			t.Fatalf("call %d = %v, %v", i, out, err)
-		}
-	}
-	if c.peerBinary.Load() {
-		t.Fatal("JSON client must ignore capability announcements")
-	}
-}
-
-// TestBinaryClientAgainstJSONServer: the server never announces, so the
-// binary-capable client never sends a frame and the connection stays on
-// the legacy protocol end to end.
-func TestBinaryClientAgainstJSONServer(t *testing.T) {
-	s := NewServer()
-	s.SetCodec(CodecJSON)
-	HandleFunc(s, "add", func(p addParams) (any, error) { return p.A + p.B, nil })
-	if err := s.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	c, err := Dial(s.Addr(), 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	for i := 0; i < 3; i++ {
-		var out float64
-		if err := c.Call("add", addParams{A: float64(i), B: 2}, &out); err != nil || out != float64(i+2) {
-			t.Fatalf("call %d = %v, %v", i, out, err)
-		}
-	}
-	if c.peerBinary.Load() {
-		t.Fatal("peerBinary flipped against a JSON-only server")
-	}
-}
-
-// TestServerDropsOversizeFrame: a hostile length prefix past MaxFrame
-// drops the connection before any body byte is read; other connections
-// are unaffected.
+// TestServerDropsOversizeFrame: every read is bounded. A length prefix
+// past MaxFrame, or a first byte that is not a frame tag, drops the
+// connection at once — a JSON line is answered by a close, and an
+// unterminated one cannot make the server buffer it — while other
+// connections are unaffected.
 func TestServerDropsOversizeFrame(t *testing.T) {
 	s := newServer(t)
-	raw, err := net.Dial("tcp", s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	attack := append([]byte{frameRequest}, wire.AppendUvarint(nil, MaxFrame+1)...)
-	if _, err := raw.Write(attack); err != nil {
-		t.Fatal(err)
-	}
-	// The server closes our end; drain until EOF (past its preamble).
-	raw.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := io.Copy(io.Discard, raw); err != nil {
-		t.Fatalf("connection not closed cleanly: %v", err)
-	}
-	// A well-behaved client still works.
-	c := dial(t, s)
-	var out float64
-	if err := c.Call("add", addParams{A: 2, B: 3}, &out); err != nil || out != 5 {
-		t.Fatalf("server wedged after oversize frame: %v %v", out, err)
+	for _, tc := range []struct {
+		name string
+		in   []byte
+	}{
+		{"oversize-length", append([]byte{frameRequest}, wire.AppendUvarint(nil, MaxFrame+1)...)},
+		{"json-line", []byte(`{"id":1,"method":"add","params":{"a":2,"b":3}}` + "\n")},
+		{"unterminated-json", append([]byte{'{'}, bytes.Repeat([]byte{' '}, 256<<10)...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			raw, err := net.Dial("tcp", s.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer raw.Close()
+			// The server may close before the whole input is written, so
+			// the write runs aside and its error is expected.
+			go func() { _, _ = raw.Write(tc.in) }()
+			raw.SetReadDeadline(time.Now().Add(2 * time.Second))
+			// Closed means EOF, or a reset when input was left unread;
+			// only the deadline shows a server still holding the conn.
+			n, err := io.Copy(io.Discard, raw)
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				t.Fatalf("server kept the connection open (%d bytes back)", n)
+			}
+			if n != 0 {
+				t.Fatalf("server answered %d bytes before dropping the connection", n)
+			}
+			// A well-behaved client still works.
+			c := dial(t, s)
+			var out float64
+			if err := c.Call("add", addParams{A: 2, B: 3}, &out); err != nil || out != 5 {
+				t.Fatalf("server wedged after %s: %v %v", tc.name, out, err)
+			}
+		})
 	}
 }
 
-// TestMixedTrafficOnBinaryConnection: JSON garbage lines interleaved with
-// hand-built binary frames on one raw connection — the server must drop
-// the garbage and answer the frame.
+// TestClientDropsUnknownFrame: a server whose reply does not open with a
+// frame tag fails the pending call with ErrConnClosed at once, instead of
+// leaving it to wait out its deadline.
+func TestClientDropsUnknownFrame(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		// Wait for the request, answer with a JSON line, then hold the
+		// connection open: only the bad tag may end the call.
+		var b [1]byte
+		if _, err := conn.Read(b[:]); err != nil {
+			return
+		}
+		_, _ = conn.Write([]byte(`{"id":1,"result":5}` + "\n"))
+		_, _ = io.Copy(io.Discard, conn)
+	}()
+	c, err := Dial(ln.Addr().String(), 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	start := time.Now()
+	var out float64
+	err = c.Call("add", addParams{A: 2, B: 3}, &out)
+	if !errors.Is(err, ErrConnClosed) {
+		t.Fatalf("err = %v, want ErrConnClosed", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("call failed only after %v", d)
+	}
+}
+
+// TestMixedTrafficOnBinaryConnection: a hand-built request frame sent as
+// the very first bytes of a raw connection, with no handshake before it,
+// gets a shape-0 answer framed the same way.
 func TestMixedTrafficOnBinaryConnection(t *testing.T) {
 	s := newServer(t)
 	raw, err := net.Dial("tcp", s.Addr())
@@ -374,33 +337,21 @@ func TestMixedTrafficOnBinaryConnection(t *testing.T) {
 	}
 	defer raw.Close()
 
-	var msg []byte
-	msg = append(msg, preamble[:]...)                  // announce binary
-	msg = append(msg, []byte("this is not json\n")...) // garbage line
 	b := beginFrame(nil)
-	b, err = appendRequest(b, 1, "add", "", nil, []byte(`{"a":4,"b":5}`))
+	b, err = appendRequest(b, 1, "add", "", json.RawMessage(`{"a":4,"b":5}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg = append(msg, finishFrame(b, frameRequest)...)
-	if _, err := raw.Write(msg); err != nil {
+	if _, err := raw.Write(finishFrame(b, frameRequest)); err != nil {
 		t.Fatal(err)
 	}
 
 	raw.SetReadDeadline(time.Now().Add(2 * time.Second))
 	r := bufio.NewReader(raw)
-	// First the server preamble, then our binary response.
-	var pre [5]byte
-	if _, err := io.ReadFull(r, pre[:]); err != nil || pre != preamble {
-		t.Fatalf("server preamble = %v, %v", pre, err)
-	}
-	tag, err := r.ReadByte()
+	var body []byte
+	tag, err := readFrame(r, &body, isClientFrame)
 	if err != nil || tag != frameResponse {
 		t.Fatalf("tag = %#x, %v", tag, err)
-	}
-	var body []byte
-	if err := readFrameBody(r, &body); err != nil {
-		t.Fatal(err)
 	}
 	res, ok := decodeResponse(body)
 	if !ok || res.isErr || res.id != 1 || res.payload.shape != ShapeJSON {
@@ -426,11 +377,7 @@ func TestBinaryAuth(t *testing.T) {
 	}
 	defer c.Close()
 	if err := c.Call("ping", nil, nil); err == nil || !strings.Contains(err.Error(), "authentication failed") {
-		t.Fatalf("err = %v", err)
-	}
-	waitPeerBinary(t, c) // the rejections below travel as binary frames
-	if err := c.Call("ping", nil, nil); err == nil || !strings.Contains(err.Error(), "authentication failed") {
-		t.Fatalf("binary-framed unauthenticated call: err = %v", err)
+		t.Fatalf("unauthenticated call: err = %v", err)
 	}
 	c.SetToken("farm-secret")
 	var out string

@@ -164,18 +164,6 @@ func TestStreamAuth(t *testing.T) {
 	}
 }
 
-func TestStreamNeedsBinary(t *testing.T) {
-	s, _ := newStreamServer(t)
-	c, err := DialCodec(s.Addr(), CodecJSON, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	if _, err := c.OpenStream("subscribe.ticks", ticksParams{Count: 1}, 4); !errors.Is(err, ErrStreamsNeedBinary) {
-		t.Fatalf("err = %v, want ErrStreamsNeedBinary", err)
-	}
-}
-
 // TestStreamCreditNeverBlocksSiblings is the backpressure contract: one
 // subscriber that stops consuming exhausts its own window while a
 // sibling stream on the same connection keeps flowing and plain calls

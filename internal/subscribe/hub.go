@@ -153,30 +153,32 @@ func (h *Hub) Subscribe(token string, f Filter, sink Sink, durable bool, ttl tim
 		notify:  make(chan struct{}, 1),
 	}
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	if h.closed {
-		h.mu.Unlock()
 		return ErrHubClosed
 	}
 	if _, dup := h.subs[token]; dup {
-		h.mu.Unlock()
 		return ErrDuplicateToken
 	}
 	h.subs[token] = s
-	h.mu.Unlock()
-	h.attach(s, sink)
+	h.attachLocked(s, sink)
 	return nil
 }
 
 // Resume reattaches a parked durable subscription: the buffered backlog
 // (plus the drop count of anything the capacity bound discarded) ships
-// as the first update on the new sink.
+// as the first update on the new sink. It fails with ErrHubClosed once
+// the hub is closed.
 func (h *Hub) Resume(token string, sink Sink) error {
 	if sink == nil {
 		return errors.New("subscribe: nil sink")
 	}
 	h.mu.RLock()
-	s := h.subs[token]
+	closed, s := h.closed, h.subs[token]
 	h.mu.RUnlock()
+	if closed {
+		return ErrHubClosed
+	}
 	if s == nil {
 		return ErrUnknownToken
 	}
@@ -205,17 +207,33 @@ func (h *Hub) Resume(token string, sink Sink) error {
 	}
 	hasPending := len(s.order) > 0
 	s.mu.Unlock()
-	h.attach(s, sink)
+	h.mu.Lock()
+	if h.closed {
+		h.mu.Unlock()
+		return ErrHubClosed
+	}
+	attached := h.attachLocked(s, sink)
+	h.mu.Unlock()
+	if !attached {
+		return ErrUnknownToken // cancelled while resuming
+	}
 	if hasPending {
 		s.signal()
 	}
 	return nil
 }
 
-// attach installs sink and starts its pump.
-func (h *Hub) attach(s *subscription, sink Sink) {
+// attachLocked installs sink and starts its pump, or reports false if s
+// was removed meanwhile. The caller holds h.mu and has seen the hub
+// open, so the wg.Add is ordered before Close's Wait and Close's sweep
+// finds the sink to stop.
+func (h *Hub) attachLocked(s *subscription, sink Sink) bool {
 	stop := make(chan struct{})
 	s.mu.Lock()
+	if s.gone {
+		s.mu.Unlock()
+		return false
+	}
 	s.sink = sink
 	s.stop = stop
 	s.mu.Unlock()
@@ -224,6 +242,7 @@ func (h *Hub) attach(s *subscription, sink Sink) {
 		defer h.wg.Done()
 		s.pump(sink, stop)
 	}()
+	return true
 }
 
 // Detach handles sink loss (the subscriber's connection dropped): a

@@ -1,7 +1,9 @@
 package subscribe
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -124,9 +126,9 @@ func TestHubSensorAndExprFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Publish(reading("rtd-2", 99))  // wrong sensor
-	h.Publish(reading("rtd-1", 10))  // fails predicate
-	h.Publish(reading("rtd-1", 25))  // passes
+	h.Publish(reading("rtd-2", 99)) // wrong sensor
+	h.Publish(reading("rtd-1", 10)) // fails predicate
+	h.Publish(reading("rtd-1", 25)) // passes
 	u := sink.recv(t, 2*time.Second)
 	if len(u.Readings) != 1 || u.Readings[0].Value != 25 {
 		t.Fatalf("update = %+v", u)
@@ -417,6 +419,98 @@ func TestHubCloseStopsPumps(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("goroutines: %d before, %d after Close", before, runtime.NumGoroutine())
+}
+
+// TestHubCloseRacesAttach: Subscribe and Resume racing Close either
+// attach before Close sweeps the subscription (and then Close closes
+// their sink) or fail; no pump goroutine outlives Close, and both fail
+// with ErrHubClosed once Close has returned.
+func TestHubCloseRacesAttach(t *testing.T) {
+	for i := 0; i < 1000; i++ {
+		h := NewHub()
+		if err := h.Subscribe("parked", Filter{}, newTestSink(1), true, time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		h.Detach("parked")
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		var mu sync.Mutex
+		var attached []*testSink
+		race := func(call func(*testSink) error, allowed ...error) {
+			defer wg.Done()
+			sink := newTestSink(1)
+			<-start
+			err := call(sink)
+			if err == nil {
+				mu.Lock()
+				attached = append(attached, sink)
+				mu.Unlock()
+				return
+			}
+			for _, a := range allowed {
+				if err == a {
+					return
+				}
+			}
+			t.Errorf("racing Close: %v", err)
+		}
+		for j := 0; j < 8; j++ {
+			wg.Add(1)
+			token := fmt.Sprintf("tok%d", j)
+			go race(func(k *testSink) error { return h.Subscribe(token, Filter{}, k, false, 0) }, ErrHubClosed)
+		}
+		wg.Add(1)
+		// ErrUnknownToken: Close cancelled the parked subscription first.
+		go race(func(k *testSink) error { return h.Resume("parked", k) }, ErrHubClosed, ErrUnknownToken)
+		close(start)
+		closed := make(chan struct{})
+		go func() {
+			h.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("iteration %d: Close hung waiting on a pump it never stopped", i)
+		}
+		wg.Wait()
+		if err := h.Resume("parked", newTestSink(1)); err != ErrHubClosed {
+			t.Fatalf("Resume after Close = %v, want ErrHubClosed", err)
+		}
+		if err := h.Subscribe("late", Filter{}, newTestSink(1), false, 0); err != ErrHubClosed {
+			t.Fatalf("Subscribe after Close = %v, want ErrHubClosed", err)
+		}
+		for _, k := range attached {
+			select {
+			case <-k.Done():
+			default:
+				t.Fatalf("iteration %d: a sink attached before Close was never closed", i)
+			}
+		}
+		if n := waitNoPumps(); n != 0 {
+			t.Fatalf("iteration %d: %d pump goroutines outlived Close", i, n)
+		}
+	}
+}
+
+// waitNoPumps waits briefly for exiting pumps to finish returning and
+// reports how many subscription goroutines remain.
+func waitNoPumps() int {
+	deadline := time.Now().Add(time.Second)
+	for {
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		n := 0
+		for _, g := range strings.Split(string(buf), "\n\n") {
+			if strings.Contains(g, "sensorcer/internal/subscribe.(*Hub).") && !strings.Contains(g, "testing.tRunner") {
+				n++
+			}
+		}
+		if n == 0 || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestSourceSingleEval: a burst of upstream deltas coalesces into at
