@@ -41,13 +41,14 @@ race-stress:
 short:
 	$(GO) test ./... -count=1 -short
 
-# Run the wire/srpc fuzz targets over their seed corpora (the checked-in
-# testdata/fuzz files plus the in-code f.Add seeds): the never-panic /
-# bounded-allocation properties of the frame decoder, without paying for
-# open-ended fuzzing. For a real fuzz session:
+# Run the wire/srpc/replication-shape fuzz targets over their seed
+# corpora (the checked-in testdata/fuzz files plus the in-code f.Add
+# seeds): the never-panic / bounded-allocation properties of the frame
+# and ship-payload decoders, without paying for open-ended fuzzing. For a
+# real fuzz session:
 #   go test ./internal/srpc -fuzz FuzzDecodeFrame -fuzztime 60s
 fuzz-seeds:
-	$(GO) test ./internal/srpc ./internal/wire -count=1 -run '^Fuzz'
+	$(GO) test ./internal/srpc ./internal/wire ./internal/remote -count=1 -run '^Fuzz'
 
 # Full benchmark suite; results land in $(BENCH_OUT) (op name -> ns/op,
 # B/op, allocs/op, custom metrics like wirebytes/op) so later PRs have a

@@ -2,9 +2,9 @@ package sensorcer
 
 // Acceptance benchmarks for the data-plane batching work: the composite
 // read path after the slot-bound expression VM (BenchmarkCSPRead*) and
-// pull-mode job dispatch through WriteBatch/TakeAny against the
-// per-envelope baseline (BenchmarkSpacerBatch*). The expression VM itself
-// is benchmarked in internal/expr (BenchmarkEvalVM*).
+// pull-mode job dispatch through WriteBatch/TakeAny (BenchmarkSpacerBatch).
+// The expression VM itself is benchmarked in internal/expr
+// (BenchmarkEvalVM*).
 
 import (
 	"fmt"
@@ -63,11 +63,10 @@ func BenchmarkCSPReadExpression(b *testing.B) {
 
 // BenchmarkSpacerBatch runs an 8-task pull-mode job over a durable
 // (journaled, fsync-per-ack) exertion space: batched dispatch pays one
-// group commit for the envelope flood and the worker drains with TakeAny,
-// versus one Write/Take/fsync per envelope on the baseline.
+// group commit for the envelope flood and the worker drains with TakeAny.
 func BenchmarkSpacerBatch(b *testing.B) {
 	const tasks = 8
-	run := func(b *testing.B, spacerOpts []sorcer.SpacerOption, workerOpts []sorcer.WorkerOption) {
+	b.Run(fmt.Sprintf("batched-%d", tasks), func(b *testing.B) {
 		l, err := wal.Open(b.TempDir())
 		if err != nil {
 			b.Fatal(err)
@@ -76,9 +75,8 @@ func BenchmarkSpacerBatch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		w := sorcer.NewSpaceWorker(sp, benchAdder("Adder-1"), "Adder", workerOpts...)
-		spacer := sorcer.NewSpacer("Spacer-1", sp,
-			append([]sorcer.SpacerOption{sorcer.WithTaskTimeout(30 * time.Second)}, spacerOpts...)...)
+		w := sorcer.NewSpaceWorker(sp, benchAdder("Adder-1"), "Adder")
+		spacer := sorcer.NewSpacer("Spacer-1", sp, sorcer.WithTaskTimeout(30*time.Second))
 		b.Cleanup(func() {
 			w.Stop()
 			sp.Close()
@@ -97,13 +95,6 @@ func BenchmarkSpacerBatch(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	}
-	b.Run(fmt.Sprintf("batched-%d", tasks), func(b *testing.B) {
-		run(b, nil, nil)
-	})
-	b.Run(fmt.Sprintf("per-envelope-%d", tasks), func(b *testing.B) {
-		run(b, []sorcer.SpacerOption{sorcer.WithPerEnvelopeDispatch()},
-			[]sorcer.WorkerOption{sorcer.WithWorkerBatch(1)})
 	})
 }
 

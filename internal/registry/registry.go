@@ -185,18 +185,12 @@ type Option func(*config)
 
 type config struct {
 	itemPolicy  lease.Policy
-	eventPolicy lease.Policy
 	coordPolicy lease.Policy
 }
 
 // WithLeasePolicy sets the policy for registration leases.
 func WithLeasePolicy(p lease.Policy) Option {
 	return func(c *config) { c.itemPolicy = p }
-}
-
-// WithEventLeasePolicy sets the policy for notification leases.
-func WithEventLeasePolicy(p lease.Policy) Option {
-	return func(c *config) { c.eventPolicy = p }
 }
 
 // WithCoordLeasePolicy sets the policy for coordination leases (the
@@ -210,7 +204,6 @@ func WithCoordLeasePolicy(p lease.Policy) Option {
 func New(name string, clock clockwork.Clock, opts ...Option) *LookupService {
 	cfg := config{
 		itemPolicy:  lease.Policy{Max: lease.DefaultMax},
-		eventPolicy: lease.Policy{Max: lease.DefaultMax},
 		coordPolicy: lease.Policy{Max: lease.DefaultMax},
 	}
 	for _, o := range opts {
@@ -221,7 +214,7 @@ func New(name string, clock clockwork.Clock, opts ...Option) *LookupService {
 		name:        name,
 		clock:       clock,
 		itemLeases:  lease.NewTable(clock, cfg.itemPolicy),
-		eventLeases: lease.NewTable(clock, cfg.eventPolicy),
+		eventLeases: lease.NewTable(clock, lease.Policy{Max: lease.DefaultMax}),
 		items:       make(map[ids.ServiceID]*record),
 		byLease:     make(map[uint64]ids.ServiceID),
 		notifs:      make(map[uint64]*notification),

@@ -80,12 +80,11 @@ func binaryBenchmark(b *testing.B, fn func(b *testing.B)) {
 }
 
 // benchmarkWriteAckSRPC acks writes against a loopback-srpc follower,
-// synchronously or in async-ship mode depending on the node options,
 // reporting wire bytes per acknowledged write alongside ns/op.
-func benchmarkWriteAckSRPC(b *testing.B, opts ...repl.NodeOption) {
+func benchmarkWriteAckSRPC(b *testing.B) {
 	policy := lease.Policy{Max: 24 * time.Hour}
 	primary, err := repl.NewNode("p", clockwork.Real(), policy, b.TempDir(),
-		append([]repl.NodeOption{repl.WithWALOptions(wal.WithSyncEveryAppend(false))}, opts...)...)
+		repl.WithWALOptions(wal.WithSyncEveryAppend(false)))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -144,23 +143,7 @@ func benchmarkWriteAckSRPC(b *testing.B, opts ...repl.NodeOption) {
 // ShipBatch across a loopback srpc connection, reporting the wire bytes
 // each acknowledged write costs.
 func BenchmarkWriteAckReplicatedSRPC(b *testing.B) {
-	binaryBenchmark(b, func(b *testing.B) {
-		benchmarkWriteAckSRPC(b)
-	})
-}
-
-// BenchmarkWriteAckAsyncShipSRPC is where async-ship pays: the wire ship
-// leaves the ack path, so acks run at local-journal speed while the
-// shipper streams coalesced batches behind, backlog bounded by the lag
-// parameter. The lag sweep shows the latency/durability dial.
-func BenchmarkWriteAckAsyncShipSRPC(b *testing.B) {
-	for _, lag := range []int{64, 256, 1024} {
-		b.Run(fmt.Sprintf("lag-%d", lag), func(b *testing.B) {
-			binaryBenchmark(b, func(b *testing.B) {
-				benchmarkWriteAckSRPC(b, repl.WithAsyncShip(lag))
-			})
-		})
-	}
+	binaryBenchmark(b, benchmarkWriteAckSRPC)
 }
 
 // BenchmarkRegistrarLookupSRPC measures the discovery hot path end to

@@ -294,7 +294,10 @@ func (w wireShipBatch) AppendSrpc(buf []byte) ([]byte, error) {
 
 // UnmarshalSrpc implements srpc.BinaryUnmarshaler. Record payloads are
 // copied out of the frame into one contiguous owned block — the WAL
-// retains them past the handler call.
+// retains them past the handler call — and the frame views are
+// overwritten in place with slices of that block. Each record costs at
+// least one byte of length prefix, so a count past the remaining bytes
+// is refused before anything is allocated for it.
 func (w *wireShipBatch) UnmarshalSrpc(shape byte, data []byte) error {
 	if shape != shapeShipBatch {
 		return shapeErr("ship batch", shape)
@@ -322,13 +325,12 @@ func (w *wireShipBatch) UnmarshalSrpc(shape byte, data []byte) error {
 		return malformedErr("ship batch")
 	}
 	block := make([]byte, 0, total)
-	payloads := make([][]byte, len(views))
 	for i, v := range views {
 		start := len(block)
 		block = append(block, v...)
-		payloads[i] = block[start:len(block):len(block)]
+		views[i] = block[start:len(block):len(block)]
 	}
-	w.Payloads = payloads
+	w.Payloads = views
 	return nil
 }
 

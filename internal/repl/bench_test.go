@@ -1,7 +1,6 @@
 package repl
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -76,42 +75,6 @@ func benchmarkWriteAck(b *testing.B, replicated bool) {
 func BenchmarkWriteAckSolo(b *testing.B) { benchmarkWriteAck(b, false) }
 
 func BenchmarkWriteAckReplicated(b *testing.B) { benchmarkWriteAck(b, true) }
-
-// BenchmarkWriteAckAsyncShip sweeps the async-ship lag bound: maxLag=0
-// acknowledges after the local append but still paces one batch behind
-// the shipper (the degenerate bound), larger bounds let the ack path
-// run ahead of the wire. Read against WriteAckSolo (the floor: no ship
-// at all) and WriteAckReplicated (the ceiling: ship inside the ack
-// path) to see what each rung of the durability ladder buys.
-func BenchmarkWriteAckAsyncShip(b *testing.B) {
-	for _, maxLag := range []int{0, 16, 256, 4096} {
-		b.Run(fmt.Sprintf("lag=%d", maxLag), func(b *testing.B) {
-			primary, err := NewNode("p", clockwork.Real(), lease.Policy{Max: 24 * time.Hour},
-				b.TempDir(), WithWALOptions(wal.WithSyncEveryAppend(false)), WithAsyncShip(maxLag))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { _ = primary.Close() })
-			sp, err := primary.Promote(1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			backup := benchNode(b, "b")
-			if _, err := primary.AttachBackup(2, backup, false); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sp.Write(space.NewEntry("job", "n", int64(i)), nil, time.Hour); err != nil {
-					b.Fatal(err)
-				}
-				if i%8192 == 8191 {
-					drainSpace(b, sp)
-				}
-			}
-		})
-	}
-}
 
 func benchmarkWriteBatch16(b *testing.B, replicated bool) {
 	sp := benchSpace(b, replicated)

@@ -1,6 +1,10 @@
 package repl
 
-import "time"
+import (
+	"time"
+
+	"sensorcer/internal/wal"
+)
 
 // shippingJournal is the space.Journal a replicated primary writes
 // through: every append lands in the local WAL and is then shipped to
@@ -13,18 +17,7 @@ import "time"
 // promotion/recovery), so reads never race a Restart swapping n.log.
 type shippingJournal struct {
 	node *Node
-	log  logBackend
-}
-
-// logBackend is the slice of *wal.Log the journal uses (narrowed for
-// clarity; *wal.Log satisfies it).
-type logBackend interface {
-	Append(payload []byte) (uint64, error)
-	AppendBatch(payloads [][]byte) (uint64, error)
-	WriteSnapshot(data []byte) error
-	Snapshot() (data []byte, seq uint64, taken time.Time, ok bool)
-	Replay(fn func(seq uint64, payload []byte) error) error
-	SnapshotSeq() uint64
+	log  *wal.Log
 }
 
 // Append journals one record locally and ships it, acknowledging only
@@ -54,16 +47,7 @@ func (j *shippingJournal) AppendBatch(payloads [][]byte) (uint64, error) {
 		return 0, err
 	}
 	if f != nil {
-		if s := j.node.asyncPipe(); s != nil {
-			// Async-ship mode: acknowledge after the local journal; the
-			// shipper replays the batch within the lag bound. A pipeline
-			// that has failed (or is over the bound and cannot drain)
-			// refuses the batch — journaled but never acknowledged, the
-			// same indeterminate outcome as a synchronous ship failure.
-			if serr := s.enqueue(epoch, f, first, payloads); serr != nil {
-				return 0, serr
-			}
-		} else if _, serr := f.ShipBatch(epoch, first, payloads); serr != nil {
+		if _, serr := f.ShipBatch(epoch, first, payloads); serr != nil {
 			return 0, j.node.shipFailed(serr)
 		}
 	}
@@ -76,13 +60,6 @@ func (j *shippingJournal) WriteSnapshot(data []byte) error {
 	epoch, f, err := j.node.requireEpochCheckpoint()
 	if err != nil {
 		return err
-	}
-	if s := j.node.asyncPipe(); s != nil && f != nil {
-		// Snapshot ships stay synchronous: drain the record backlog so the
-		// backup never installs a snapshot from the future of its log.
-		if derr := s.drain(); derr != nil {
-			return derr
-		}
 	}
 	if err := j.log.WriteSnapshot(data); err != nil {
 		return err

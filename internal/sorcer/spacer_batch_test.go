@@ -33,9 +33,9 @@ func checkAdderJob(t *testing.T, job *Job, n int) {
 	}
 }
 
-// TestSpacerBatchDispatchParallel runs the default batched path
-// explicitly: all envelopes land via one WriteBatch, workers drain with
-// TakeAny, and results come back tagged with the job's batch id.
+// TestSpacerBatchDispatchParallel runs the batched path: all envelopes
+// land via one WriteBatch, workers drain with TakeAny, and results come
+// back tagged with the job's batch id.
 func TestSpacerBatchDispatchParallel(t *testing.T) {
 	sp := space.New(clockwork.Real(), lease.Policy{Max: time.Hour})
 	defer sp.Close()
@@ -55,23 +55,6 @@ func TestSpacerBatchDispatchParallel(t *testing.T) {
 	if n := sp.Count(space.NewEntry(ResultKind)); n != 0 {
 		t.Fatalf("%d results left in space", n)
 	}
-}
-
-// TestSpacerPerEnvelopeDispatch keeps the ablation path (one Write/Take
-// per task) working — it is the baseline the batch benchmarks compare
-// against.
-func TestSpacerPerEnvelopeDispatch(t *testing.T) {
-	sp := space.New(clockwork.Real(), lease.Policy{Max: time.Hour})
-	defer sp.Close()
-	w := NewSpaceWorker(sp, adderProvider("Adder-1"), "Adder", WithWorkerBatch(1))
-	defer w.Stop()
-	spacer := NewSpacer("Spacer-1", sp, WithTaskTimeout(5*time.Second), WithPerEnvelopeDispatch())
-
-	job := pullAdderJob(4)
-	if _, err := spacer.Service(job, nil); err != nil {
-		t.Fatal(err)
-	}
-	checkAdderJob(t, job, 4)
 }
 
 // TestSpacerBatchDispatchDurable runs the batched path over a journaled
